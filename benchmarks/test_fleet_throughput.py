@@ -8,8 +8,9 @@ steady chat sustains its goodput, token-aware routing beats round-robin's
 tail on heterogeneous traffic, and failover loses no requests.
 
 Besides the pytest-benchmark timings, the module writes a machine-readable
-``BENCH_fleet.json`` (override the path with ``$BENCH_FLEET_JSON``) so CI
-can archive the perf trajectory per commit: simulator wall seconds,
+artifact to the path in ``$BENCH_FLEET_JSON`` (nothing when it is unset;
+``BENCH_FLEET_JSON=BENCH_fleet.json`` refreshes the committed baseline) so
+CI can archive the perf trajectory per commit: simulator wall seconds,
 simulated iterations per wall second and the headline serving metrics of
 each scenario.
 """
@@ -21,7 +22,7 @@ import pytest
 from _bench_artifact import BenchArtifact
 from repro.fleet import get_fleet_scenario, run_fleet_scenario
 
-_ARTIFACT = BenchArtifact("BENCH_FLEET_JSON", "BENCH_fleet.json")
+_ARTIFACT = BenchArtifact("BENCH_FLEET_JSON")
 
 
 @pytest.fixture(scope="module", autouse=True)

@@ -10,10 +10,11 @@ reference oracle by a healthy multiple on decode-heavy traffic while
 producing identical results.
 
 Besides the pytest-benchmark timings, the module writes a machine-readable
-``BENCH_serving.json`` (override the path with ``$BENCH_SERVING_JSON``,
-mirroring the fleet benchmarks' ``BENCH_fleet.json``) so CI can archive the
-perf trajectory per commit: simulator wall seconds, simulated iterations per
-wall second, the fast-forward speedup and the headline serving metrics.
+artifact to the path in ``$BENCH_SERVING_JSON`` (nothing when it is unset;
+``BENCH_SERVING_JSON=BENCH_serving.json`` refreshes the committed baseline)
+so CI can archive the perf trajectory per commit: simulator wall seconds,
+simulated iterations per wall second, the fast-forward speedup and the
+headline serving metrics.
 """
 
 import gc
@@ -26,7 +27,7 @@ from repro.fleet import get_fleet_scenario, run_fleet_scenario
 from repro.obs import EventRecorder, build_attributions, verify_conservation
 from repro.serving import get_scenario, run_scenario
 
-_ARTIFACT = BenchArtifact("BENCH_SERVING_JSON", "BENCH_serving.json")
+_ARTIFACT = BenchArtifact("BENCH_SERVING_JSON")
 
 
 @pytest.fixture(scope="module", autouse=True)

@@ -34,9 +34,10 @@ Modules
     disaggregated with comm-priced KV hand-off.
 ``metrics``
     TTFT/TPOT/E2E percentiles, goodput under SLO, KV utilization, prefix
-    hit rate and saved prefill FLOPs — record-based (``compute_metrics``)
-    or bounded-memory streaming (``StreamingMetrics``, P² sketches) — plus
-    per-tenant aggregates (``TenantMetrics``) in both paths.
+    hit rate and saved prefill FLOPs, plus per-tenant aggregates
+    (``TenantMetrics``), all from one fold of finished requests
+    (``StreamingMetrics``) whose percentiles are exact (``RecordMetrics``,
+    ``compute_metrics``) or P²-sketched in bounded memory.
 ``tenancy``
     Multi-tenant QoS: named SLO classes (interactive / batch /
     best-effort), per-tenant weights and token-bucket admission control
@@ -58,6 +59,7 @@ from .columnar import DecodeColumns
 from .engine import DisaggregatedEngine, ServingConfig, ServingEngine, ServingResult
 from .metrics import (
     SLO,
+    RecordMetrics,
     RequestRecord,
     ServingMetrics,
     StreamingMetrics,
@@ -138,6 +140,7 @@ __all__ = [
     "RequestRecord",
     "ServingMetrics",
     "StreamingMetrics",
+    "RecordMetrics",
     "TenantMetrics",
     "compute_metrics",
     "compute_tenant_metrics",

@@ -66,12 +66,11 @@ from .batcher import BatcherConfig, ContinuousBatcher, IterationPlan, Phase, Req
 from .columnar import DecodeColumns
 from .metrics import (
     SLO,
+    RecordMetrics,
     RequestRecord,
     ServingMetrics,
     StreamingMetrics,
     TenantMetrics,
-    compute_metrics,
-    compute_tenant_metrics,
 )
 from .paged_kv import PagedKVAllocator
 from .tenancy import TenancyConfig
@@ -97,15 +96,16 @@ class ServingConfig:
     #: the module docstring).  ``False`` forces the naive one-iteration-at-a-
     #: time reference stepper.
     fast_forward: bool = True
-    #: Keep every :class:`RequestRecord` (and the iteration timeline) in the
-    #: result.  ``True`` — the default — is the byte-identical record-based
-    #: path every golden and the obs/diagnosis layer depend on.  ``False``
-    #: streams: arrivals are pulled lazily from the trace iterable, finished
-    #: requests fold into a :class:`~repro.serving.metrics.StreamingMetrics`
-    #: accumulator and are dropped, so memory stays bounded no matter how
-    #: many requests the trace holds (massive-* scenarios).  Requires the
-    #: colocated engine; record consumers (``--explain``, attribution,
-    #: ``--diff-against``) need ``True``.
+    #: Departures always fold into one
+    #: :class:`~repro.serving.metrics.StreamingMetrics` accumulator; this
+    #: picks its percentile backend.  ``True`` — the default, which every
+    #: golden and the obs/diagnosis layer depend on — keeps every
+    #: :class:`RequestRecord` and the iteration timeline and reads exact
+    #: percentiles.  ``False`` streams: arrivals are pulled lazily from the
+    #: trace iterable, records are dropped after a P² fold, so memory stays
+    #: bounded no matter how many requests the trace holds (massive-*
+    #: scenarios).  Requires the colocated engine; record consumers
+    #: (``--explain``, attribution, ``--diff-against``) need ``True``.
     retain_records: bool = True
     #: Shared-prefix KV caching: requests whose prompts declare a shared
     #: prefix (:attr:`~repro.serving.workload.Request.prefix`) skip prefill
@@ -185,7 +185,8 @@ class _PoolRun:
     """Outcome of draining one pool."""
 
     end_time: float
-    departed: List[RequestState]
+    #: ``pool_arrival`` of the first request (0.0 when none arrived).
+    first_arrival: float
     iterations: int
     kv_mean: float
     kv_peak: float
@@ -599,23 +600,23 @@ class _Pool:
     def run(
         self,
         states: Union[Sequence[RequestState], Iterator[RequestState]],
+        on_depart: Callable[[RequestState], None],
         timeline: Optional[Timeline] = None,
         device: int = 0,
-        on_depart: Optional[Callable[[RequestState], None]] = None,
     ) -> _PoolRun:
+        """Drain ``states``, handing every departing state to ``on_depart``.
+
+        A sequence is sorted by ``(pool_arrival, request_id)`` first.  An
+        iterator is pulled one state at a time, so a streamed trace is never
+        materialized; it must already arrive in ``pool_arrival`` order.
+        """
         if isinstance(states, Sequence):
-            stream: Iterator[RequestState] = iter(
-                sorted(states, key=lambda s: (s.pool_arrival, s.request.request_id))
-            )
-        else:
-            # Streaming input: states are pulled one at a time, so the pool
-            # never materializes the trace.  The caller guarantees
-            # non-decreasing ``pool_arrival`` order (the engines validate).
-            stream = iter(states)
+            states = sorted(states, key=lambda s: (s.pool_arrival, s.request.request_id))
+        stream: Iterator[RequestState] = iter(states)
         upcoming = next(stream, None)
+        first_arrival = upcoming.pool_arrival if upcoming is not None else 0.0
         now = 0.0
         iterations = 0
-        departed: List[RequestState] = []
         kv_weighted = 0.0
         kv_time = 0.0
         kv_peak = 0.0
@@ -635,12 +636,16 @@ class _Pool:
         while True:
             while upcoming is not None and upcoming.pool_arrival <= now + 1e-12:
                 batcher.enqueue(upcoming)
+                arrived = upcoming.pool_arrival
                 if obs is not None:
-                    obs.emit(
-                        upcoming.pool_arrival, obs_events.ARRIVE, device,
-                        upcoming.request.request_id,
-                    )
+                    obs.emit(arrived, obs_events.ARRIVE, device, upcoming.request.request_id)
                 upcoming = next(stream, None)
+                if upcoming is not None and upcoming.pool_arrival < arrived:
+                    raise ValueError(
+                        "streaming traces must be sorted by arrival_time "
+                        f"(request {upcoming.request.request_id!r} arrives at "
+                        f"{upcoming.pool_arrival!r} after {arrived!r})"
+                    )
             max_steps = self.decode_stretch_length()
             if max_steps > 0:
                 # Coalesced decode stretch: replay the naive stepper's exact
@@ -762,14 +767,9 @@ class _Pool:
             kv_time += duration
             kv_peak = max(kv_peak, utilization)
             clock_start = prof.clock() if prof is not None else 0.0
-            finished = batcher.commit(plan, now)
-            if on_depart is None:
-                departed.extend(finished)
-            else:
-                # Streaming consumer: fold the finished request in and drop
-                # it — the pool retains no per-request state past departure.
-                for state in finished:
-                    on_depart(state)
+            # The pool retains no per-request state past departure.
+            for state in batcher.commit(plan, now):
+                on_depart(state)
             if prof is not None:
                 prof.add("commit", prof.clock() - clock_start)
             if obs is not None:
@@ -804,7 +804,7 @@ class _Pool:
                 )
         return _PoolRun(
             end_time=now,
-            departed=departed,
+            first_arrival=first_arrival,
             iterations=iterations,
             kv_mean=kv_weighted / kv_time if kv_time > 0 else 0.0,
             kv_peak=kv_peak,
@@ -812,8 +812,16 @@ class _Pool:
         )
 
 
-def _make_states(trace: Sequence[Request]) -> List[RequestState]:
-    return [RequestState(record=RequestRecord(request)) for request in trace]
+def _make_states(trace: Iterable[Request]) -> List[RequestState]:
+    """One fresh state per request of a record-mode trace (ids must be unique)."""
+    states = [RequestState(record=RequestRecord(request)) for request in trace]
+    if len({state.request.request_id for state in states}) != len(states):
+        raise ValueError("trace carries duplicate request ids")
+    return states
+
+
+def _tenant_slos(config: ServingConfig) -> Optional[Dict[str, SLO]]:
+    return config.tenancy.slo_map() if config.tenancy is not None else None
 
 
 class ServingEngine:
@@ -830,23 +838,38 @@ class ServingEngine:
         self.pool = _Pool(model, self.config.num_gpus, self.config, cost_model)
 
     def run(self, trace: Iterable[Request], slo: Optional[SLO] = None) -> ServingResult:
+        """Serve ``trace``; every departure folds into the run's metrics.
+
+        With ``retain_records`` the trace is materialized (its request ids
+        must be unique), records and the iteration timeline are kept, and
+        percentiles are exact.  Without it, requests are pulled one at a
+        time (the trace may be a generator a million requests long, sorted
+        by arrival) and dropped after the P² fold, so peak memory is set by
+        the batch, the KV pool and the sketches, not by the trace length.
+        """
         slo = slo or SLO()
-        if not self.config.retain_records:
-            return self._run_streaming(trace, slo)
-        states = _make_states(list(trace) if not isinstance(trace, Sequence) else trace)
+        retain = self.config.retain_records
+        fold = (RecordMetrics if retain else StreamingMetrics)(slo, _tenant_slos(self.config))
         timeline = Timeline(num_devices=1)
-        outcome = self.pool.run(states, timeline=timeline, device=0)
-        records = [state.record for state in states]
-        arrivals = [r.request.arrival_time for r in records]
-        duration = max(outcome.end_time - min(arrivals), 1e-12) if records else 0.0
+        if retain:
+            states: Iterable[RequestState] = _make_states(trace)
+            records = [state.record for state in states]
+        else:
+            states = (RequestState(record=RequestRecord(request)) for request in trace)
+            records = []
+        outcome = self.pool.run(
+            states,
+            lambda state: fold.observe(state.record),
+            timeline=timeline if retain else None,
+            device=0,
+        )
+        duration = max(outcome.end_time - outcome.first_arrival, 1e-12)
         batcher = self.pool.batcher
         prefix = self.pool.allocator.prefix
         prefix_evictions = prefix.evicted_blocks if prefix is not None else 0
         required = batcher.prefix_hit_tokens + batcher.tokens_prefilled
-        metrics = compute_metrics(
-            records,
+        metrics = fold.finalize(
             duration,
-            slo,
             kv_utilization_mean=outcome.kv_mean,
             kv_utilization_peak=outcome.kv_peak,
             preemptions=batcher.preemptions,
@@ -854,13 +877,6 @@ class ServingEngine:
             prefix_hit_tokens=batcher.prefix_hit_tokens,
             prefix_flops_saved=batcher.prefix_flops_saved,
             prefix_evictions=prefix_evictions,
-        )
-        tenancy = self.config.tenancy
-        tenant_metrics = compute_tenant_metrics(
-            records,
-            duration,
-            slo,
-            tenant_slos=tenancy.slo_map() if tenancy is not None else None,
         )
         return ServingResult(
             mode="colocated",
@@ -878,81 +894,8 @@ class ServingEngine:
             prefix_flops_saved=batcher.prefix_flops_saved,
             prefill_flops_executed=batcher.prefill_flops_executed,
             prefix_evictions=prefix_evictions,
-            tenant_metrics=tenant_metrics,
-        )
-
-    def _run_streaming(self, trace: Iterable[Request], slo: SLO) -> ServingResult:
-        """Bounded-memory run: lazy arrivals in, streaming accumulator out.
-
-        The trace is pulled one request at a time (it may be a generator a
-        million requests long), finished requests fold into a
-        :class:`StreamingMetrics` accumulator and are dropped, and neither
-        records nor timeline spans are retained — peak memory is set by the
-        batch, the KV pool and the sketch, not by the trace length.
-        """
-        tenancy = self.config.tenancy
-        streaming = StreamingMetrics(
-            slo, tenant_slos=tenancy.slo_map() if tenancy is not None else None
-        )
-        # Mutable cells: the generator below runs inside the pool loop, and
-        # the first arrival anchors the run's duration measurement.
-        first_arrival = [0.0]
-        seen = [False]
-
-        def states() -> Iterator[RequestState]:
-            last = float("-inf")
-            for request in trace:
-                arrival = request.arrival_time
-                if arrival < last:
-                    raise ValueError(
-                        "streaming traces must be sorted by arrival_time "
-                        f"(request {request.request_id!r} arrives at {arrival!r} "
-                        f"after {last!r})"
-                    )
-                last = arrival
-                if not seen[0]:
-                    first_arrival[0] = arrival
-                    seen[0] = True
-                yield RequestState(record=RequestRecord(request))
-
-        outcome = self.pool.run(
-            states(),
-            device=0,
-            on_depart=lambda state: streaming.observe(state.record),
-        )
-        duration = max(outcome.end_time - first_arrival[0], 1e-12) if seen[0] else 0.0
-        batcher = self.pool.batcher
-        prefix = self.pool.allocator.prefix
-        prefix_evictions = prefix.evicted_blocks if prefix is not None else 0
-        required = batcher.prefix_hit_tokens + batcher.tokens_prefilled
-        metrics = streaming.finalize(
-            duration,
-            kv_utilization_mean=outcome.kv_mean,
-            kv_utilization_peak=outcome.kv_peak,
-            preemptions=batcher.preemptions,
-            prefix_hit_rate=batcher.prefix_hit_tokens / required if required else 0.0,
-            prefix_hit_tokens=batcher.prefix_hit_tokens,
-            prefix_flops_saved=batcher.prefix_flops_saved,
-            prefix_evictions=prefix_evictions,
-        )
-        return ServingResult(
-            mode="colocated",
-            metrics=metrics,
-            records=[],
-            timeline=Timeline(num_devices=1),
-            iterations=outcome.iterations,
-            kv_capacity_tokens=self.pool.kv_capacity_tokens,
-            tokens_admitted=batcher.tokens_admitted,
-            tokens_prefilled=batcher.tokens_prefilled,
-            tokens_preempted_requeued=batcher.tokens_preempted_requeued,
-            preemptions=batcher.preemptions,
-            prefix_hit_tokens=batcher.prefix_hit_tokens,
-            prefix_hit_requests=batcher.prefix_hit_requests,
-            prefix_flops_saved=batcher.prefix_flops_saved,
-            prefill_flops_executed=batcher.prefill_flops_executed,
-            prefix_evictions=prefix_evictions,
-            retain_records=False,
-            tenant_metrics=streaming.tenant_metrics(duration),
+            retain_records=retain,
+            tenant_metrics=fold.tenant_metrics(duration),
         )
 
 
@@ -1023,14 +966,16 @@ class DisaggregatedEngine:
 
     def run(self, trace: Sequence[Request], slo: Optional[SLO] = None) -> ServingResult:
         slo = slo or SLO()
+        fold = RecordMetrics(slo, _tenant_slos(self.config))
         states = _make_states(trace)
         timeline = Timeline(num_devices=2)
-        prefill_run = self.prefill_pool.run(states, timeline=timeline, device=0)
-
         handoffs: List[RequestState] = []
-        for state in prefill_run.departed:
+
+        def prefill_departure(state: RequestState) -> None:
             if state.phase is not Phase.HANDOFF:
-                continue  # finished at prefill (single-output-token request)
+                # Finished at prefill (single-output-token request).
+                fold.observe(state.record)
+                return
             handoffs.append(
                 RequestState(
                     record=state.record,
@@ -1040,12 +985,15 @@ class DisaggregatedEngine:
                     + self._transfer_time(state.request.prompt_tokens),
                 )
             )
-        decode_run = self.decode_pool.run(handoffs, timeline=timeline, device=1)
 
-        records = [state.record for state in states]
-        arrivals = [r.request.arrival_time for r in records]
+        prefill_run = self.prefill_pool.run(
+            states, prefill_departure, timeline=timeline, device=0
+        )
+        decode_run = self.decode_pool.run(
+            handoffs, lambda state: fold.observe(state.record), timeline=timeline, device=1
+        )
         end_time = max(prefill_run.end_time, decode_run.end_time)
-        duration = max(end_time - min(arrivals), 1e-12) if records else 0.0
+        duration = max(end_time - prefill_run.first_arrival, 1e-12)
         # Combine pool KV statistics weighted by each pool's busy time (the
         # decode pool idles until the first hand-off arrives, so wall-clock
         # end times would over-weight it).
@@ -1062,10 +1010,8 @@ class DisaggregatedEngine:
         hit_tokens = pf.prefix_hit_tokens + dc.prefix_hit_tokens
         prefilled = pf.tokens_prefilled + dc.tokens_prefilled
         required = hit_tokens + prefilled
-        metrics = compute_metrics(
-            records,
+        metrics = fold.finalize(
             duration,
-            slo,
             kv_utilization_mean=kv_mean,
             kv_utilization_peak=max(prefill_run.kv_peak, decode_run.kv_peak),
             preemptions=preemptions,
@@ -1074,17 +1020,10 @@ class DisaggregatedEngine:
             prefix_flops_saved=pf.prefix_flops_saved + dc.prefix_flops_saved,
             prefix_evictions=prefix_evictions,
         )
-        tenancy = self.config.tenancy
-        tenant_metrics = compute_tenant_metrics(
-            records,
-            duration,
-            slo,
-            tenant_slos=tenancy.slo_map() if tenancy is not None else None,
-        )
         return ServingResult(
             mode="disaggregated",
             metrics=metrics,
-            records=records,
+            records=[state.record for state in states],
             timeline=timeline,
             iterations=prefill_run.iterations + decode_run.iterations,
             kv_capacity_tokens=self.prefill_pool.kv_capacity_tokens
@@ -1099,5 +1038,5 @@ class DisaggregatedEngine:
             prefix_flops_saved=pf.prefix_flops_saved + dc.prefix_flops_saved,
             prefill_flops_executed=pf.prefill_flops_executed + dc.prefill_flops_executed,
             prefix_evictions=prefix_evictions,
-            tenant_metrics=tenant_metrics,
+            tenant_metrics=fold.tenant_metrics(duration),
         )

@@ -12,6 +12,10 @@ Per-request latencies follow the standard serving decomposition:
 **Goodput** is the throughput of requests that meet the scenario's
 :class:`SLO` (both the TTFT and TPOT bounds), the quantity
 prefill/decode-disaggregation papers optimise for instead of raw throughput.
+
+Every aggregate comes from one fold, :class:`StreamingMetrics`, whose
+percentiles sit behind a P² backend (streaming) or an exact one
+(:class:`RecordMetrics`, record mode and :func:`compute_metrics`).
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ __all__ = [
     "ServingMetrics",
     "TenantMetrics",
     "PercentileSummary",
+    "ExactQuantiles",
     "StreamingMetrics",
+    "RecordMetrics",
     "percentile",
     "compute_metrics",
     "compute_tenant_metrics",
@@ -205,9 +211,8 @@ class TenantMetrics:
 
     Computed against the tenant's *own* SLO (its SLO class when a tenancy
     config is installed, the run's global SLO otherwise).  Counter fields
-    (requests, tokens, good requests) are exact on both the record-based and
-    streaming paths; percentiles are exact record-side and P²-sketched
-    stream-side, the same contract :class:`StreamingMetrics` documents.
+    (requests, tokens, good requests) are always exact; percentiles follow
+    the fold's backend, the contract :class:`StreamingMetrics` documents.
     """
 
     tenant: str
@@ -261,76 +266,88 @@ def tenant_report_text(
     )
 
 
+class ExactQuantiles:
+    """Exact percentile backend: keeps every sample and reads it sorted.
+
+    The record-mode twin of :class:`~repro.obs.sketch.QuantileSketch` (the
+    same ``add`` / ``quantile(q)`` pair, ``q`` in (0, 1)).  Reads go through
+    the one interpolation rule, so they are bit-identical to
+    :meth:`PercentileSummary.at` (``95 / 100.0 == 0.95``).
+    """
+
+    __slots__ = ("name", "_samples")
+
+    def __init__(self, name: str):
+        self.name = name
+        self._samples: List[float] = []
+
+    def add(self, value: float) -> None:
+        self._samples.append(value)
+
+    def quantile(self, q: float) -> float:
+        if not self._samples:
+            raise ValueError(f"{self.name}: no samples")
+        # Sorts in place: after the first read, a single linear pass.
+        self._samples.sort()
+        return _interpolate(self._samples, q)
+
+
 class StreamingMetrics:
-    """Bounded-memory aggregation of finished requests.
+    """The one fold of finished requests into serving metrics.
 
-    The streaming counterpart of :func:`compute_metrics`: engines fold each
-    finished :class:`RequestRecord` in with :meth:`observe` and then *drop*
-    it, so a million-request run holds O(1) metric state instead of a
-    million records.  Internals:
+    Engines fold each finished :class:`RequestRecord` in with :meth:`observe`
+    as it departs; the caller may then drop it.  Counts, output tokens and
+    SLO-meeting requests are exact integer counters, so throughput, goodput
+    fraction and goodput RPS are exact.  The nine latency percentiles come
+    from one backend per metric (``add`` / ``quantile(q)``):
 
-    * **latency percentiles** come from P² quantile sketches
-      (:class:`~repro.obs.sketch.QuantileSketch`) — exact for five or fewer
-      samples (bit-identical to :class:`PercentileSummary`), approximate
-      within the documented P² bound beyond that;
-    * **counts, totals and goodput** (requests finished, output tokens,
-      SLO-meeting requests) are exact integer counters, so throughput,
-      goodput fraction and goodput RPS match the record-based path to the
-      last bit;
-    * **windowed finish counters** track completions per fixed time window
-      (O(duration / window) memory, independent of request count) for
-      arrival-curve introspection of diurnal traces.
+    * here, P² sketches (:class:`~repro.obs.sketch.QuantileSketch`): O(1)
+      memory, exact for five or fewer samples, approximate within the
+      documented P² bound beyond that;
+    * in :class:`RecordMetrics`, :class:`ExactQuantiles`: every sample kept
+      and sorted once, bit-identical to :class:`PercentileSummary`.
 
-    :meth:`finalize` assembles the same :class:`ServingMetrics` dataclass
-    ``compute_metrics`` returns, taking the engine's exact KV/preemption/
-    prefix-FLOP counters as arguments just like the record-based path does.
+    Tagged requests also fold into one nested accumulator per tenant, judged
+    against the tenant's SLO from ``tenant_slos`` (the run's ``slo``
+    otherwise).  :meth:`finalize` and :meth:`tenant_metrics` assemble the
+    results, taking the engine's exact KV/preemption/prefix counters as
+    arguments.
     """
 
     __slots__ = (
         "slo",
-        "window_seconds",
+        "tenant_slos",
         "finished",
         "good_requests",
         "output_tokens",
-        "last_finish_time",
-        "window_counts",
-        "tenant_slos",
         "_tenants",
         "_ttft",
         "_tpot",
         "_e2e",
     )
 
+    #: Percentile backend, built once per metric from the metric's name.
+    _backend = QuantileSketch
+
     def __init__(
         self,
         slo: Optional[SLO] = None,
-        window_seconds: float = 60.0,
         tenant_slos: Optional[Mapping[str, SLO]] = None,
-        _track_tenants: bool = True,
     ):
-        if window_seconds <= 0:
-            raise ValueError("window_seconds must be positive")
         self.slo = slo or SLO()
-        self.window_seconds = window_seconds
-        self.finished = 0
-        self.good_requests = 0
-        self.output_tokens = 0
-        self.last_finish_time = 0.0
-        #: Finished-request count per ``window_seconds`` bucket of finish
-        #: time, keyed by the bucket index (``finish_time // window``).
-        self.window_counts: Dict[int, int] = {}
         #: Per-tenant SLO overrides (the tenant's SLO class); tenants not
         #: listed are judged against the run's global ``slo``.
         self.tenant_slos: Dict[str, SLO] = dict(tenant_slos) if tenant_slos else {}
-        # One nested single-level accumulator per tagged tenant; ``None`` in
-        # the nested accumulators themselves (no recursion).  Untagged
-        # traffic allocates nothing here.
-        self._tenants: Optional[Dict[str, "StreamingMetrics"]] = (
-            {} if _track_tenants else None
-        )
-        self._ttft = QuantileSketch("TTFT")
-        self._tpot = QuantileSketch("TPOT")
-        self._e2e = QuantileSketch("E2E latency")
+        self.finished = 0
+        self.good_requests = 0
+        self.output_tokens = 0
+        # One nested accumulator (same backend) per tagged tenant; the nested
+        # ones set this to ``None`` so they do not recurse.  Untagged traffic
+        # allocates nothing here.
+        self._tenants: Optional[Dict[str, "StreamingMetrics"]] = {}
+        self._ttft = self._backend("TTFT")
+        self._tpot = self._backend("TPOT")
+        self._e2e = self._backend("E2E latency")
 
     def observe(self, record: RequestRecord) -> None:
         """Fold one *finished* request in; the caller may then drop it."""
@@ -343,40 +360,30 @@ class StreamingMetrics:
         self.output_tokens += record.request.output_tokens
         if record.meets(self.slo):
             self.good_requests += 1
-        finish = record.finish_time
-        if finish > self.last_finish_time:
-            self.last_finish_time = finish
-        bucket = int(finish // self.window_seconds)
-        self.window_counts[bucket] = self.window_counts.get(bucket, 0) + 1
         self._ttft.add(record.ttft)
         self._tpot.add(record.tpot)
         self._e2e.add(record.e2e_latency)
-        if self._tenants is not None:
+        tenants = self._tenants
+        if tenants is not None:
             tenant = record.request.tenant
             if tenant is not None:
-                sub = self._tenants.get(tenant)
+                sub = tenants.get(tenant)
                 if sub is None:
-                    sub = StreamingMetrics(
-                        self.tenant_slos.get(tenant, self.slo),
-                        self.window_seconds,
-                        _track_tenants=False,
-                    )
-                    self._tenants[tenant] = sub
+                    sub = type(self)(self.tenant_slos.get(tenant, self.slo))
+                    sub._tenants = None
+                    tenants[tenant] = sub
                 sub.observe(record)
 
-    @property
-    def count(self) -> int:
-        return self.finished
-
-    def peak_window(self) -> tuple:
-        """``(window_start_time, count)`` of the busiest finish window."""
-        if not self.window_counts:
-            raise ValueError("no finished requests observed")
-        bucket, count = max(self.window_counts.items(), key=lambda item: (item[1], -item[0]))
-        return (bucket * self.window_seconds, count)
+    def _percentiles(self) -> Dict[str, float]:
+        """The nine ``{ttft,tpot,e2e}_p{50,95,99}`` fields of the fold."""
+        return {
+            f"{name}_p{p}": backend.quantile(p / 100.0)
+            for name, backend in (("ttft", self._ttft), ("tpot", self._tpot), ("e2e", self._e2e))
+            for p in (50, 95, 99)
+        }
 
     def tenant_metrics(self, duration: float) -> Dict[str, TenantMetrics]:
-        """Per-tenant aggregates of the folded stream (empty when untagged)."""
+        """Per-tenant aggregates of the fold (empty when untagged)."""
         if not self._tenants:
             return {}
         span = max(duration, 1e-12)
@@ -390,16 +397,8 @@ class StreamingMetrics:
                 good_requests=sub.good_requests,
                 goodput_fraction=sub.good_requests / sub.finished,
                 goodput_rps=sub.good_requests / span,
-                ttft_p50=sub._ttft.quantile(0.5),
-                ttft_p95=sub._ttft.quantile(0.95),
-                ttft_p99=sub._ttft.quantile(0.99),
-                tpot_p50=sub._tpot.quantile(0.5),
-                tpot_p95=sub._tpot.quantile(0.95),
-                tpot_p99=sub._tpot.quantile(0.99),
-                e2e_p50=sub._e2e.quantile(0.5),
-                e2e_p95=sub._e2e.quantile(0.95),
-                e2e_p99=sub._e2e.quantile(0.99),
                 slo=sub.slo,
+                **sub._percentiles(),
             )
         return out
 
@@ -414,7 +413,7 @@ class StreamingMetrics:
         prefix_flops_saved: float = 0.0,
         prefix_evictions: int = 0,
     ) -> ServingMetrics:
-        """Assemble :class:`ServingMetrics` from the folded stream."""
+        """Assemble :class:`ServingMetrics` from the fold."""
         if self.finished == 0:
             raise ValueError(
                 "no finished requests to aggregate (0 observed) — the trace "
@@ -424,15 +423,6 @@ class StreamingMetrics:
         return ServingMetrics(
             num_requests=self.finished,
             duration=duration,
-            ttft_p50=self._ttft.quantile(0.5),
-            ttft_p95=self._ttft.quantile(0.95),
-            ttft_p99=self._ttft.quantile(0.99),
-            tpot_p50=self._tpot.quantile(0.5),
-            tpot_p95=self._tpot.quantile(0.95),
-            tpot_p99=self._tpot.quantile(0.99),
-            e2e_p50=self._e2e.quantile(0.5),
-            e2e_p95=self._e2e.quantile(0.95),
-            e2e_p99=self._e2e.quantile(0.99),
             output_tokens_per_second=self.output_tokens / span,
             requests_per_second=self.finished / span,
             goodput_fraction=self.good_requests / self.finished,
@@ -445,60 +435,49 @@ class StreamingMetrics:
             prefix_hit_tokens=prefix_hit_tokens,
             prefix_flops_saved=prefix_flops_saved,
             prefix_evictions=prefix_evictions,
+            **self._percentiles(),
         )
+
+
+class RecordMetrics(StreamingMetrics):
+    """:class:`StreamingMetrics` with the exact backend (record mode)."""
+
+    __slots__ = ()
+    _backend = ExactQuantiles
+
+
+def _fold_finished(
+    records: Sequence[RequestRecord],
+    slo: SLO,
+    tenant_slos: Optional[Mapping[str, SLO]] = None,
+) -> RecordMetrics:
+    fold = RecordMetrics(slo, tenant_slos)
+    for record in records:
+        if record.finished:
+            fold.observe(record)
+    return fold
 
 
 def compute_metrics(
     records: Sequence[RequestRecord],
     duration: float,
     slo: SLO,
-    kv_utilization_mean: float = 0.0,
-    kv_utilization_peak: float = 0.0,
-    preemptions: int = 0,
-    prefix_hit_rate: float = 0.0,
-    prefix_hit_tokens: int = 0,
-    prefix_flops_saved: float = 0.0,
-    prefix_evictions: int = 0,
+    **engine_counters,
 ) -> ServingMetrics:
-    """Aggregate per-request records into :class:`ServingMetrics`."""
-    done = [r for r in records if r.finished]
-    if not done:
+    """Fold the finished ``records`` exactly and finalize them.
+
+    ``engine_counters`` are the keyword counters of
+    :meth:`StreamingMetrics.finalize` (KV utilization, preemptions, prefix
+    cache totals).
+    """
+    fold = _fold_finished(records, slo)
+    if not fold.finished:
         raise ValueError(
             f"no finished requests to aggregate ({len(records)} records, "
             "0 finished) — the trace may be empty or the run ended before "
             "any request completed"
         )
-    ttfts = PercentileSummary([r.ttft for r in done], metric="TTFT")
-    tpots = PercentileSummary([r.tpot for r in done], metric="TPOT")
-    e2es = PercentileSummary([r.e2e_latency for r in done], metric="E2E latency")
-    output_tokens = sum(r.request.output_tokens for r in done)
-    span = max(duration, 1e-12)
-    good = sum(1 for r in done if r.meets(slo))
-    return ServingMetrics(
-        num_requests=len(done),
-        duration=duration,
-        ttft_p50=ttfts.at(50),
-        ttft_p95=ttfts.at(95),
-        ttft_p99=ttfts.at(99),
-        tpot_p50=tpots.at(50),
-        tpot_p95=tpots.at(95),
-        tpot_p99=tpots.at(99),
-        e2e_p50=e2es.at(50),
-        e2e_p95=e2es.at(95),
-        e2e_p99=e2es.at(99),
-        output_tokens_per_second=output_tokens / span,
-        requests_per_second=len(done) / span,
-        goodput_fraction=good / len(done),
-        goodput_rps=good / span,
-        kv_utilization_mean=kv_utilization_mean,
-        kv_utilization_peak=kv_utilization_peak,
-        preemptions=preemptions,
-        slo=slo,
-        prefix_hit_rate=prefix_hit_rate,
-        prefix_hit_tokens=prefix_hit_tokens,
-        prefix_flops_saved=prefix_flops_saved,
-        prefix_evictions=prefix_evictions,
-    )
+    return fold.finalize(duration, **engine_counters)
 
 
 def compute_tenant_metrics(
@@ -507,46 +486,10 @@ def compute_tenant_metrics(
     slo: SLO,
     tenant_slos: Optional[Mapping[str, SLO]] = None,
 ) -> Dict[str, TenantMetrics]:
-    """Group finished records by tenant and aggregate each group exactly.
+    """Fold the finished ``records`` exactly and return the per-tenant slices.
 
-    Records with ``tenant=None`` belong to no tenant and are skipped, so an
-    untagged run returns ``{}`` — per-tenant reporting costs nothing unless
-    the workload opted in.  Each tenant is judged against its own SLO from
+    Records with ``tenant=None`` belong to no tenant, so an untagged run
+    returns ``{}``.  Each tenant is judged against its own SLO from
     ``tenant_slos`` (falling back to the run's global ``slo``).
     """
-    groups: Dict[str, List[RequestRecord]] = {}
-    for record in records:
-        tenant = record.request.tenant
-        if tenant is not None and record.finished:
-            groups.setdefault(tenant, []).append(record)
-    if not groups:
-        return {}
-    span = max(duration, 1e-12)
-    slos = dict(tenant_slos) if tenant_slos else {}
-    out: Dict[str, TenantMetrics] = {}
-    for tenant in sorted(groups):
-        done = groups[tenant]
-        tenant_slo = slos.get(tenant, slo)
-        ttfts = PercentileSummary([r.ttft for r in done], metric="TTFT")
-        tpots = PercentileSummary([r.tpot for r in done], metric="TPOT")
-        e2es = PercentileSummary([r.e2e_latency for r in done], metric="E2E latency")
-        good = sum(1 for r in done if r.meets(tenant_slo))
-        out[tenant] = TenantMetrics(
-            tenant=tenant,
-            num_requests=len(done),
-            output_tokens=sum(r.request.output_tokens for r in done),
-            good_requests=good,
-            goodput_fraction=good / len(done),
-            goodput_rps=good / span,
-            ttft_p50=ttfts.at(50),
-            ttft_p95=ttfts.at(95),
-            ttft_p99=ttfts.at(99),
-            tpot_p50=tpots.at(50),
-            tpot_p95=tpots.at(95),
-            tpot_p99=tpots.at(99),
-            e2e_p50=e2es.at(50),
-            e2e_p95=e2es.at(95),
-            e2e_p99=e2es.at(99),
-            slo=tenant_slo,
-        )
-    return out
+    return _fold_finished(records, slo, tenant_slos).tenant_metrics(duration)

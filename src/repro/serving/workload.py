@@ -113,8 +113,12 @@ class Request:
     tenant: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.arrival_time < 0:
-            raise ValueError("arrival_time must be non-negative")
+        # ``not 0 <= t < inf`` also catches NaN, which fails every comparison.
+        if not 0.0 <= self.arrival_time < math.inf:
+            raise ValueError(
+                f"request {self.request_id!r}: arrival_time must be non-negative "
+                f"and finite, got {self.arrival_time!r}"
+            )
         if self.prompt_tokens < 1:
             raise ValueError("prompt_tokens must be >= 1")
         if self.output_tokens < 1:

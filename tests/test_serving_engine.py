@@ -14,7 +14,7 @@ from repro.serving.batcher import BatcherConfig
 from repro.serving.engine import DisaggregatedEngine, ServingConfig, ServingEngine
 from repro.serving.metrics import SLO
 from repro.serving.scenarios import get_scenario, run_scenario
-from repro.serving.workload import poisson_trace, replay_trace
+from repro.serving.workload import Request, poisson_trace, replay_trace
 
 LLAMA_13B = get_model_config("llama-13b")
 
@@ -93,6 +93,22 @@ class TestColocatedEngine:
         ).run(trace, SLO())
         assert capped.metrics.tpot_p50 < free.metrics.tpot_p50
         assert capped.metrics.ttft_p99 > free.metrics.ttft_p99
+
+
+class TestDuplicateRequestIds:
+    # Record mode keys requests by id; a repeated id used to fail deep in
+    # the allocator (same-time arrivals) or complete silently (disjoint ones).
+    @pytest.mark.parametrize("second_arrival", [0.0, 30.0])
+    def test_colocated_rejects_duplicates(self, second_arrival):
+        trace = [Request(0, 0.0, 100, 5), Request(0, second_arrival, 100, 5)]
+        with pytest.raises(ValueError, match="duplicate request ids"):
+            ServingEngine(LLAMA_13B, small_config()).run(trace, SLO())
+
+    def test_disaggregated_rejects_duplicates(self):
+        trace = [Request(0, 0.0, 100, 5), Request(0, 0.0, 100, 5)]
+        engine = DisaggregatedEngine(LLAMA_13B, small_config(num_gpus=2))
+        with pytest.raises(ValueError, match="duplicate request ids"):
+            engine.run(trace, SLO())
 
 
 class TestDisaggregatedEngine:

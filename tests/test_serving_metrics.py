@@ -1,8 +1,17 @@
 """Tests for serving metrics (repro.serving.metrics)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.serving.metrics import SLO, RequestRecord, compute_metrics, percentile
+from repro.obs.sketch import _interpolate
+from repro.serving.metrics import (
+    SLO,
+    RequestRecord,
+    compute_metrics,
+    compute_tenant_metrics,
+    percentile,
+)
 from repro.serving.workload import Request
 
 
@@ -110,3 +119,97 @@ class TestComputeMetrics:
         text = metrics.to_text(title="test table")
         assert "test table" in text
         assert "TTFT" in text and "goodput" in text.lower()
+
+
+# ---------------------------------------------------------------------------
+# Exact-backend oracle: a test-local reference built from ``sorted`` plus the
+# one interpolation rule, with plain integer sums for every counter.
+# ---------------------------------------------------------------------------
+
+_QUANTILES = ((50, 0.5), (95, 0.95), (99, 0.99))
+
+
+def _reference_percentiles(done):
+    out = {}
+    for metric, values in (
+        ("ttft", [r.ttft for r in done]),
+        ("tpot", [r.tpot for r in done]),
+        ("e2e", [r.e2e_latency for r in done]),
+    ):
+        ordered = sorted(values)
+        for p, q in _QUANTILES:
+            out[f"{metric}_p{p}"] = _interpolate(ordered, q)
+    return out
+
+
+_TENANTS = ("alpha", "beta", "gamma")
+_SLOS = st.builds(
+    SLO,
+    ttft=st.floats(min_value=0.05, max_value=5.0, allow_nan=False),
+    tpot=st.floats(min_value=1e-3, max_value=0.5, allow_nan=False),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+            st.floats(min_value=1e-4, max_value=10.0, allow_nan=False),
+            st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
+            st.integers(min_value=1, max_value=64),
+            st.sampled_from((None,) + _TENANTS),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=300,
+    ),
+    slo=_SLOS,
+    tenant_slos=st.dictionaries(st.sampled_from(_TENANTS), _SLOS, max_size=len(_TENANTS)),
+    duration=st.floats(min_value=0.0, max_value=500.0, allow_nan=False),
+)
+def test_exact_backend_matches_sorted_reference(rows, slo, tenant_slos, duration):
+    records = []
+    for i, (arrival, ttft, tail, output, tenant, finished) in enumerate(rows):
+        record = RequestRecord(Request(i, arrival, 16, output, tenant=tenant))
+        if finished:
+            record.first_token_time = arrival + ttft
+            record.finish_time = arrival + ttft + tail
+        records.append(record)
+    done = [r for r in records if r.finished]
+    span = max(duration, 1e-12)
+
+    if done:
+        metrics = compute_metrics(records, duration, slo)
+        good = sum(1 for r in done if r.meets(slo))
+        tokens = sum(r.request.output_tokens for r in done)
+        for name, value in _reference_percentiles(done).items():
+            assert getattr(metrics, name) == value, name
+        assert metrics.num_requests == len(done)
+        assert metrics.output_tokens_per_second == tokens / span
+        assert metrics.requests_per_second == len(done) / span
+        assert metrics.goodput_fraction == good / len(done)
+        assert metrics.goodput_rps == good / span
+        assert metrics.slo == slo
+    else:
+        with pytest.raises(ValueError, match="0 finished"):
+            compute_metrics(records, duration, slo)
+
+    tenants = compute_tenant_metrics(records, duration, slo, tenant_slos=tenant_slos)
+    groups = {}
+    for record in done:
+        if record.request.tenant is not None:
+            groups.setdefault(record.request.tenant, []).append(record)
+    assert list(tenants) == sorted(groups)
+    for tenant, group in groups.items():
+        got = tenants[tenant]
+        tenant_slo = tenant_slos.get(tenant, slo)
+        good = sum(1 for r in group if r.meets(tenant_slo))
+        for name, value in _reference_percentiles(group).items():
+            assert getattr(got, name) == value, (tenant, name)
+        assert got.num_requests == len(group)
+        assert got.output_tokens == sum(r.request.output_tokens for r in group)
+        assert got.good_requests == good
+        assert got.goodput_fraction == good / len(group)
+        assert got.goodput_rps == good / span
+        assert got.slo == tenant_slo

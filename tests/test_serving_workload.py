@@ -35,6 +35,15 @@ class TestRequest:
         with pytest.raises(ValueError):
             Request(0, 0.0, 10, 0)
 
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_arrival(self, arrival):
+        # NaN fails every comparison, so a bare ``< 0`` check let it through
+        # and the engine loop then never advanced past it.
+        with pytest.raises(ValueError, match="must be non-negative") as info:
+            Request(7, arrival, 10, 5)
+        assert "request 7" in str(info.value)
+        assert repr(arrival) in str(info.value)
+
     def test_total_tokens(self):
         assert Request(0, 0.0, 10, 5).total_tokens == 15
 

@@ -133,28 +133,6 @@ class TestStreamingAccumulator:
         with pytest.raises(ValueError, match="no finished requests"):
             StreamingMetrics().finalize(1.0)
 
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError, match="window_seconds"):
-            StreamingMetrics(window_seconds=0.0)
-
-    def test_peak_window(self):
-        streaming = StreamingMetrics(window_seconds=10.0)
-        with pytest.raises(ValueError, match="no finished requests"):
-            streaming.peak_window()
-        for i, finish in enumerate([1.0, 12.0, 15.0, 18.0, 21.0]):
-            streaming.observe(_record(i, 0.0, finish - 0.5, finish))
-        start, count = streaming.peak_window()
-        assert (start, count) == (10.0, 3)
-        assert sum(streaming.window_counts.values()) == streaming.count == 5
-
-    def test_window_memory_is_duration_bound(self):
-        streaming = StreamingMetrics(window_seconds=60.0)
-        for i in range(1000):
-            finish = (i % 120) + 0.5
-            streaming.observe(_record(i, 0.0, finish - 0.25, finish))
-        assert streaming.count == 1000
-        assert len(streaming.window_counts) == 2  # ceil(120s / 60s) buckets
-
     def test_exact_aggregates_beyond_sketch_regime(self):
         records = [
             _record(i, 0.05 * i, 0.2 + 0.03 * i, 0.9 + 0.07 * i, output_tokens=5 + i % 7)
